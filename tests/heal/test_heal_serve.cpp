@@ -29,7 +29,12 @@ ds::SessionSpec light_realtime() {
   return s;
 }
 
-// Calibrated spins well past the deadline: misses every cycle.
+// Two chains of two calibrated 1500 us spins. At full quality each
+// chain's critical path is >= 3000 us against the 2902.5 us deadline, so
+// every kFull cycle misses. The supervisor ladder sheds each chain's tail
+// (ceil(0.4 * 2) = 1 node) at kBypassFx; on a host that runs the two
+// chains in parallel, those ~1500 us cycles are clean. Only where the
+// chains are serialized does the session keep missing once degraded.
 ds::SessionSpec doomed_session() {
   ds::SyntheticSpec spec;
   spec.name = "doomed";
@@ -185,13 +190,20 @@ TEST(ServeBreaker, DisabledBreakerNeverTrips) {
 
 TEST(ServeBreaker, SnapshotRestoresDegradationLevelAndCost) {
   dt::Watchdog watchdog(dt::scaled_timeout(120), "breaker snapshot");
-  ds::HostConfig cfg = breaker_host(/*k=*/4, /*backoff_ms=*/5.0);
-  // With K=4 the doomed session's EWMA cost estimate climbs well past
-  // the deadline before the trip, and a probe is admitted against that
-  // learned cost — at the default utilization bound every probe would be
-  // rejected and the restore could never happen. This test exercises the
-  // snapshot/restore semantics, not probe admission (covered elsewhere),
-  // so admit probes unconditionally.
+  // K equals the ladder's overrun trip. The snapshot holds a degraded
+  // level only if the ladder stepped before the trip (K >= overrun_trip),
+  // and the breaker trips at all only if it counts K misses before the
+  // degraded cycles turn clean (K <= overrun_trip): clean degraded cycles
+  // are not breaker failures (DESIGN.md §12). With K == overrun_trip the
+  // third kFull miss steps the ladder to kBypassFx and trips the breaker
+  // in the same tick; trip_session runs after the dispatch loop, so the
+  // snapshot records kBypassFx.
+  ds::HostConfig cfg = breaker_host(/*k=*/0, /*backoff_ms=*/5.0);
+  cfg.breaker.trip_failures = cfg.supervisor.overrun_trip;  // default 3
+  // The snapshot carries the session's cost estimate back to the probe;
+  // it changes only through recalibrate(), which this test never calls.
+  // Admit probes unconditionally so the test stays independent of probe
+  // admission (covered elsewhere) and exercises snapshot/restore only.
   cfg.admission.utilization_bound = 50.0;
   ds::EngineHost host(cfg);
   const ds::SessionId id = host.submit(doomed_session());
@@ -200,9 +212,9 @@ TEST(ServeBreaker, SnapshotRestoresDegradationLevelAndCost) {
   // then trip + restore; the restored session must come back degraded
   // (not at full quality, where it would instantly fault again).
   bool restored = false;
-  // Generous budget: the trip needs K consecutive wall-clock misses and
-  // the backoff probe lands on virtual time, so a loaded or sanitized
-  // run can need far more cycles than a quiet one.
+  // Timeline: the trip lands on cycle 3, and the probe after 5 ms +/- 20%
+  // of virtual time, i.e. 2-3 ticks of 2902.5 us later. The budget is far
+  // above that; a loaded or sanitized run may re-trip on a probe first.
   for (int i = 0; i < dt::scaled(600) && !restored; ++i) {
     host.run_fleet_cycle();
     for (const dj::Event& e : host.journal().drain_all()) {
