@@ -51,9 +51,12 @@ class DeadlineMonitor {
   }
 
   /// Record a cycle at degradation level 0 (the unsupervised path).
-  void add(const CycleBreakdown& c) { add(c, 0); }
+  bool add(const CycleBreakdown& c) { return add(c, 0); }
   /// Record a cycle attributed to `level` (clamped to kMaxLevels - 1).
-  void add(const CycleBreakdown& c, unsigned level);
+  /// Returns the cycle's deadline verdict (total_us() > deadline_us()).
+  /// This is the only place it is decided: the supervisor, telemetry,
+  /// profiler and SLO tracker are all handed this result.
+  bool add(const CycleBreakdown& c, unsigned level);
   void reset();
 
   std::size_t cycles() const noexcept { return cycles_; }

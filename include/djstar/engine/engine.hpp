@@ -134,7 +134,7 @@ class AudioEngine {
   // ---- SLO engine (support/slo.hpp, DESIGN.md §15) ----
 
   /// Attach the SLO engine: a per-engine time-series store fed every
-  /// cycle (miss predicate byte-identical to DeadlineMonitor's) and a
+  /// cycle (with the verdict DeadlineMonitor::add returned) and a
   /// burn-rate tracker evaluated once per sealed window. The store's
   /// clock is virtual — cycles × deadline_us — so the alert state
   /// machine is deterministic. Page-level alerts force one supervisor
@@ -205,9 +205,11 @@ class AudioEngine {
   void rebuild_static_plan();
 
  private:
+  CycleBreakdown run_cycle_body(CycleSupervisor* sup);
+  void invalidate_static_plan();
   void track_graph_time(double graph_us);
   void poll_heal();
-  void profile_cycle(const CycleBreakdown& c);
+  void profile_cycle(bool missed);
   core::ExecOptions exec_options() const noexcept;
   void rebuild_executor();
   void apply_degradation(DegradationLevel target);
@@ -215,8 +217,9 @@ class AudioEngine {
   void phase_gp(CycleBreakdown& c);
   void phase_vc(CycleBreakdown& c);
   void apply_pending_poison() noexcept;
-  void finish_cycle_telemetry(const CycleBreakdown& c, unsigned level);
-  void slo_cycle(const CycleBreakdown& c, bool good);
+  void finish_cycle_telemetry(const CycleBreakdown& c, bool missed,
+                              unsigned level);
+  void slo_cycle(const CycleBreakdown& c, bool missed, bool good);
 
   EngineConfig cfg_;
   std::array<std::unique_ptr<Deck>, 4> decks_;

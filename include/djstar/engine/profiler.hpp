@@ -147,9 +147,9 @@ class CycleProfiler {
   void set_hw(HwSampler* hw) noexcept { hw_ = hw; }
   HwSampler* hw() const noexcept { return hw_; }
 
-  /// Attribute one finished cycle. `missed` must use the owner's own
-  /// deadline predicate (identical to DeadlineMonitor) so blame reports
-  /// and miss counters agree exactly.
+  /// Attribute one finished cycle. `missed` is the owner's verdict for
+  /// the cycle, decided once elsewhere (the engine's DeadlineMonitor::add,
+  /// a hosted session's slot check) and passed in.
   const support::attrib::CycleAttribution& on_cycle(
       std::span<const support::TraceSpan> spans, bool missed,
       std::uint64_t cycle);

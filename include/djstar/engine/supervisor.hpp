@@ -73,6 +73,13 @@ enum class CycleOutcome : std::uint8_t {
 
 const char* to_string(CycleOutcome outcome) noexcept;
 
+/// Availability: a clean or merely-late cycle emitted real audio; a
+/// faulted, cancelled, NaN or safe-mode cycle shipped a fallback packet.
+inline constexpr bool emitted_real_audio(CycleOutcome outcome) noexcept {
+  return outcome == CycleOutcome::kClean ||
+         outcome == CycleOutcome::kOverrun;
+}
+
 /// Supervision policy knobs.
 struct SupervisorConfig {
   double deadline_us = audio::kDeadlineUs;
@@ -135,8 +142,9 @@ class CycleSupervisor {
   /// Judge the cycle that just finished: read the graph's fault/cancel
   /// state, scan `out` for non-finite samples, fill safe_output() (the
   /// real packet, spliced, or a faded repeat of the last good one), and
-  /// advance the ladder. Call between cycles, watchdog disarmed.
-  CycleOutcome supervise_cycle(const CycleBreakdown& c,
+  /// advance the ladder. `missed` is the owner's DeadlineMonitor::add
+  /// verdict for `c`. Call between cycles, watchdog disarmed.
+  CycleOutcome supervise_cycle(const CycleBreakdown& c, bool missed,
                                const audio::AudioBuffer& out);
 
   /// Account a kSafeMode cycle (no graph ran): emits a faded repeat and

@@ -11,10 +11,9 @@
 // when a cycle misses its deadline, the degradation ladder moves, or
 // the watchdog fires.
 //
-// Counter contract: the cycle/miss counters are incremented under the
-// exact same condition as DeadlineMonitor::add (miss == total_us() >
-// deadline), so a Prometheus scrape and monitor().misses() can be
-// compared for equality, not just correlation.
+// Counter contract: the miss verdict is decided once per cycle, by
+// DeadlineMonitor::add, and handed to on_cycle(), so a Prometheus scrape
+// and monitor().misses() can be compared for equality.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +76,13 @@ class EngineTelemetry {
   const TelemetryConfig& config() const noexcept { return cfg_; }
 
   /// Account the cycle that just finished. Called by AudioEngine between
-  /// cycles, right after DeadlineMonitor::add. `sup` is the supervisor's
-  /// current stats (null unsupervised); `faults_injected` is the graph's
-  /// cumulative fault count; `trace` is the engine's TraceRecorder for
-  /// drop accounting (may be null). Cumulative sources are delta-synced
-  /// into monotone counters, so exports always agree with the sources.
-  void on_cycle(const CycleBreakdown& c, unsigned level,
+  /// cycles, after DeadlineMonitor::add; `missed` is its verdict for `c`.
+  /// `sup` is the supervisor's current stats (null unsupervised);
+  /// `faults_injected` is the graph's cumulative fault count; `trace` is
+  /// the engine's TraceRecorder for drop accounting (may be null).
+  /// Cumulative sources are delta-synced into monotone counters, so
+  /// exports always agree with the sources.
+  void on_cycle(const CycleBreakdown& c, bool missed, unsigned level,
                 const SupervisorStats* sup, std::uint64_t faults_injected,
                 const support::TraceRecorder* trace);
 

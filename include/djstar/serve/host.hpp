@@ -339,6 +339,7 @@ class EngineHost {
 
   // Data plane.
   std::vector<std::unique_ptr<Session>> active_;
+  std::vector<Session*> due_scratch_;  // run_fleet_cycle's EDF order
   std::deque<std::unique_ptr<Session>> queued_;
   double active_density_ = 0;
   double fleet_now_us_ = 0;

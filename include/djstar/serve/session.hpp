@@ -182,6 +182,10 @@ class Session {
   /// Outcome of the last run_cycle() (kClean before any cycle ran);
   /// the host's breaker failure predicate reads this.
   engine::CycleOutcome last_outcome() const noexcept { return last_outcome_; }
+  /// Slot verdict of the last run_cycle(): its completion offset exceeded
+  /// `allowed_us` (false before any cycle ran). Counted in
+  /// counters().misses; the host's exports, SLOs and breaker read it.
+  bool last_missed() const noexcept { return last_missed_; }
 
   /// Capture the control state a breaker trip must preserve.
   SessionSnapshot snapshot() const noexcept {
@@ -212,6 +216,7 @@ class Session {
   engine::CycleSupervisor supervisor_;
   engine::DegradationLevel applied_level_ = engine::DegradationLevel::kFull;
   engine::CycleOutcome last_outcome_ = engine::CycleOutcome::kClean;
+  bool last_missed_ = false;
   support::Histogram latency_;
   SessionCounters counters_;
   support::TraceRecorder trace_;

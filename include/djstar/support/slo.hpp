@@ -7,8 +7,8 @@
 // scope (the engine, the fleet, one QoS class, or one session) against a
 // declarative SloSpec of three objectives:
 //
-//   - deadline-miss ratio (miss predicate byte-identical to
-//     DeadlineMonitor's: total_us > deadline_us),
+//   - deadline-miss ratio (the caller passes each cycle's verdict,
+//     decided once by its owner — see record_cycle),
 //   - p99 cycle latency (fraction of cycles slower than a target),
 //   - availability (fraction of cycles that completed cleanly —
 //     faults, cancellations, NaN flushes, and safe-mode fallbacks are
@@ -128,10 +128,10 @@ class SloTracker {
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
 
-  /// Hot path (writer thread): account one cycle. `missed` must come
-  /// from the caller's DeadlineMonitor-identical predicate; `good` is
-  /// the availability bit (clean or merely-late cycles are up, faulted /
-  /// cancelled / NaN / safe-mode cycles are down).
+  /// Hot path (writer thread): account one cycle. `missed` is the
+  /// cycle's verdict as its owner decided it (the engine's
+  /// DeadlineMonitor::add, a hosted session's slot check); `good` is the
+  /// availability bit (engine::emitted_real_audio of the cycle's outcome).
   void record_cycle(double latency_us, bool missed, bool good) noexcept;
 
   /// Writer thread: re-evaluate if the store sealed new windows since

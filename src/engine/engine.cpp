@@ -1,33 +1,16 @@
 #include "djstar/engine/engine.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "djstar/core/team.hpp"
 #include "djstar/core/thread_count.hpp"
 #include "djstar/support/assert.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/time.hpp"
 
 namespace djstar::engine {
 namespace {
-
-// Read a path-valued env var, hardened like DJSTAR_THREADS: unset (or
-// all-whitespace absent) returns nullopt, set-but-empty after trimming
-// throws — a misspelled value must not be silently ignored.
-std::optional<std::string> env_path(const char* var) {
-  const char* raw = std::getenv(var);
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument(std::string(var) + ": empty path");
-  }
-  return s.substr(b, e - b + 1);
-}
 
 std::array<std::unique_ptr<Deck>, 4> make_decks(const EngineConfig& cfg) {
   std::array<std::unique_ptr<Deck>, 4> decks;
@@ -99,7 +82,7 @@ AudioEngine::AudioEngine(EngineConfig cfg)
   }
 
   // DJSTAR_FLIGHT=<path>: telemetry on, incidents auto-dump to <path>.
-  if (auto path = env_path("DJSTAR_FLIGHT")) {
+  if (auto path = support::env_path("DJSTAR_FLIGHT")) {
     TelemetryConfig tcfg;
     tcfg.flight_dump_path = *path;
     telemetry_ =
@@ -107,20 +90,14 @@ AudioEngine::AudioEngine(EngineConfig cfg)
     compiled_->set_journal(&telemetry_->journal());
   }
   // DJSTAR_TRACE=<path>: capture the first cycle as a Chrome trace.
-  if (auto path = env_path("DJSTAR_TRACE")) {
+  if (auto path = support::env_path("DJSTAR_TRACE")) {
     env_trace_path_ = *path;
     env_trace_ = std::make_unique<support::TraceRecorder>();
     env_trace_->arm(cfg_.threads);
     env_trace_pending_ = true;
   }
 
-  if (cfg_.graph_opt == core::graph_opt::Mode::kFuseStatic) {
-    static_plan_ = std::make_unique<core::graph_opt::StaticPlan>(
-        core::graph_opt::build_static_plan(*compiled_, *cost_model_,
-                                           cfg_.threads));
-    if (cost_model_->max_cv() > cfg_.plan_max_cv) static_plan_->invalidate();
-  }
-
+  rebuild_static_plan();  // no-op unless fuse+static
   rebuild_executor();
 
   if (cfg_.profiler.mode != ProfMode::kOff) enable_profiler(cfg_.profiler);
@@ -156,11 +133,23 @@ void AudioEngine::rebuild_static_plan() {
   if (static_plan_ == nullptr) {
     static_plan_ = std::make_unique<core::graph_opt::StaticPlan>(
         std::move(fresh));
-    rebuild_executor();  // wire the plan pointer into the workers
+    // Wire the plan pointer into the workers (during construction the
+    // first executor is built right after this).
+    if (executor_ != nullptr) rebuild_executor();
   } else {
     static_plan_->replace(std::move(fresh));
   }
-  if (cost_model_->max_cv() > cfg_.plan_max_cv) static_plan_->invalidate();
+  plan_baseline_us_ = 0.0;
+  cp_baseline_us_ = 0.0;
+  if (cost_model_->max_cv() > cfg_.plan_max_cv) invalidate_static_plan();
+}
+
+// Fall back to dynamic scheduling from the next cycle on, until
+// rebuild_static_plan(). Neither drift baseline is read while the plan
+// is invalid, so both restart from the first cycle under the next plan.
+void AudioEngine::invalidate_static_plan() {
+  if (static_plan_ == nullptr) return;
+  static_plan_->invalidate();
   plan_baseline_us_ = 0.0;
   cp_baseline_us_ = 0.0;
 }
@@ -175,10 +164,8 @@ void AudioEngine::track_graph_time(double graph_us) {
   }
   const double r = cost_model_->drift_ratio(plan_baseline_us_);
   if (r > cfg_.plan_drift_ratio || r < 1.0 / cfg_.plan_drift_ratio) {
-    // The cached schedule no longer matches reality: fall back to
-    // dynamic scheduling from the next cycle on. rebuild_static_plan()
-    // re-enables replay with fresh estimates.
-    static_plan_->invalidate();
+    // The cached schedule no longer matches reality.
+    invalidate_static_plan();
   }
 }
 
@@ -213,11 +200,8 @@ void AudioEngine::poll_heal() {
   }
   seen_heal_quarantines_ = hs.quarantines;
   seen_heal_respawns_ = hs.respawns;
-  if (seen_heal_live_ != 0 && hs.live != seen_heal_live_ &&
-      static_plan_ != nullptr) {
-    static_plan_->invalidate();
-    plan_baseline_us_ = 0.0;
-    cp_baseline_us_ = 0.0;
+  if (seen_heal_live_ != 0 && hs.live != seen_heal_live_) {
+    invalidate_static_plan();
   }
   seen_heal_live_ = hs.live;
   if (telemetry_) telemetry_->on_heal(hs);
@@ -258,7 +242,7 @@ void AudioEngine::enable_profiler(const ProfilerConfig& pcfg) {
 // built around a predicted critical path, so when the realized one
 // moves far enough the schedule is stale even before total cycle time
 // drifts (DESIGN.md §14).
-void AudioEngine::profile_cycle(const CycleBreakdown& c) {
+void AudioEngine::profile_cycle(bool missed) {
   if (profiler_ == nullptr || telemetry_ == nullptr) return;
   if (hw_sampler_ != nullptr && !hw_armed_) {
     // Arm perf counters lazily after the first cycle: by then every
@@ -276,9 +260,6 @@ void AudioEngine::profile_cycle(const CycleBreakdown& c) {
   }
   const std::uint64_t fcycle = telemetry_->flight().cycle();
   telemetry_->flight().collect_cycle(fcycle, prof_spans_);
-  // Identical miss predicate to DeadlineMonitor::add, so blame reports
-  // and miss counters always agree.
-  const bool missed = c.total_us() > cfg_.deadline_us;
   const auto& at = profiler_->on_cycle(prof_spans_, missed, fcycle);
 
   if (static_plan_ != nullptr && static_plan_->valid() && !at.empty()) {
@@ -288,9 +269,8 @@ void AudioEngine::profile_cycle(const CycleBreakdown& c) {
       const double r = profiler_->drift_ratio(cp_baseline_us_);
       if (r > cfg_.profiler.cp_drift_ratio ||
           r < 1.0 / cfg_.profiler.cp_drift_ratio) {
-        static_plan_->invalidate();
+        invalidate_static_plan();
         profiler_->note_cp_drift(r, fcycle);
-        cp_baseline_us_ = 0.0;
       }
     }
   }
@@ -334,11 +314,8 @@ void AudioEngine::enable_slo(const support::SloConfig& scfg) {
 // clock sealed a tsdb window, re-evaluate the burn rates. A page-level
 // escalation is handed to the supervisor as an early-degradation signal
 // and to the flight recorder as an incident-dump trigger (DESIGN.md §15).
-void AudioEngine::slo_cycle(const CycleBreakdown& c, bool good) {
+void AudioEngine::slo_cycle(const CycleBreakdown& c, bool missed, bool good) {
   if (slo_ == nullptr) return;
-  // Identical miss predicate to DeadlineMonitor::add, so burn rates and
-  // monitor().misses() always agree.
-  const bool missed = c.total_us() > cfg_.deadline_us;
   slo_->record_cycle(c.total_us(), missed, good);
   ++slo_cycles_seen_;
   // Virtual clock: cycles × deadline. Deterministic, so the whole alert
@@ -380,14 +357,8 @@ void AudioEngine::set_strategy(core::Strategy s, unsigned threads) {
   cfg_.threads = core::resolve_thread_count(threads);
   if (telemetry_) telemetry_->on_threads_changed(cfg_.threads);
   if (env_trace_ && env_trace_pending_) env_trace_->arm(cfg_.threads);
-  if (static_plan_ != nullptr) {
-    // The cached schedule is per-width; rebuild it for the new team.
-    static_plan_->replace(core::graph_opt::build_static_plan(
-        *compiled_, *cost_model_, cfg_.threads));
-    if (cost_model_->max_cv() > cfg_.plan_max_cv) static_plan_->invalidate();
-    plan_baseline_us_ = 0.0;
-    cp_baseline_us_ = 0.0;
-  }
+  // The cached schedule is per-width; rebuild it for the new team.
+  if (static_plan_ != nullptr) rebuild_static_plan();
   rebuild_executor();
   // The compiled graph (including any degradation masks) and the
   // monitor are untouched; tell the supervisor so it can keep its
@@ -444,7 +415,7 @@ void AudioEngine::apply_pending_poison() noexcept {
 }
 
 void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
-                                         unsigned level) {
+                                         bool missed, unsigned level) {
   // DJSTAR_TRACE: the armed first cycle just finished — dump and disarm
   // (workers see the disarm at the next cycle's synchronization).
   if (env_trace_pending_ && env_trace_ != nullptr) {
@@ -461,31 +432,9 @@ void AudioEngine::finish_cycle_telemetry(const CycleBreakdown& c,
     }
     const support::TraceRecorder* trace =
         env_trace_ != nullptr ? env_trace_.get() : cfg_.exec.trace;
-    telemetry_->on_cycle(c, level, sp, compiled_->faults_injected(), trace);
+    telemetry_->on_cycle(c, missed, level, sp, compiled_->faults_injected(),
+                         trace);
   }
-}
-
-CycleBreakdown AudioEngine::run_cycle() {
-  if (telemetry_) telemetry_->flight().begin_cycle();
-  CycleBreakdown c;
-  phase_tp(c);
-  phase_gp(c);
-  {
-    // Graph: the task graph under the selected strategy (38%).
-    support::ScopedTimer t(c.graph_us);
-    executor_->run_cycle();
-  }
-  track_graph_time(c.graph_us);
-  poll_heal();
-  apply_pending_poison();
-  phase_vc(c);
-  monitor_.add(c);
-  finish_cycle_telemetry(c, 0);
-  profile_cycle(c);
-  // Unsupervised cycles have no structural-failure signal: every cycle
-  // counts as available; misses still burn the miss budget.
-  slo_cycle(c, /*good=*/true);
-  return c;
 }
 
 void AudioEngine::apply_degradation(DegradationLevel target) {
@@ -504,15 +453,12 @@ void AudioEngine::apply_degradation(DegradationLevel target) {
   const bool no_stretch = target >= DegradationLevel::kNoStretch;
   for (auto& d : decks_) d->set_stretch_degraded(no_stretch);
   applied_level_ = target;
-  if (static_plan_ != nullptr) {
-    // Masking/bypass changes the effective node costs, so a cached
-    // schedule computed for the previous level is stale. Fall back to
-    // dynamic scheduling until rebuild_static_plan() is called.
-    static_plan_->invalidate();
-    plan_baseline_us_ = 0.0;
-    cp_baseline_us_ = 0.0;
-  }
+  // Masking/bypass changes the effective node costs, so a cached
+  // schedule computed for the previous level is stale.
+  invalidate_static_plan();
 }
+
+CycleBreakdown AudioEngine::run_cycle() { return run_cycle_body(nullptr); }
 
 CycleBreakdown AudioEngine::run_cycle_supervised() {
   DJSTAR_ASSERT_MSG(supervisor_ != nullptr,
@@ -520,47 +466,52 @@ CycleBreakdown AudioEngine::run_cycle_supervised() {
   // Actuate the level the ladder decided at the end of the previous
   // cycle; all graph mutation happens here, between cycles.
   apply_degradation(supervisor_->level());
-  const auto level = static_cast<unsigned>(applied_level_);
+  return run_cycle_body(supervisor_.get());
+}
+
+// The one cycle body behind both entry points. Unsupervised (`sup` null)
+// the cycle runs at level 0 on the main executor and every cycle counts
+// as available; misses still burn the miss budget.
+CycleBreakdown AudioEngine::run_cycle_body(CycleSupervisor* sup) {
+  const DegradationLevel level =
+      sup != nullptr ? applied_level_ : DegradationLevel::kFull;
+  // Safe mode keeps decoding the control signals (so recovery resumes in
+  // sync) but skips GP/Graph/VC; the supervisor feeds the sound card.
+  const bool safe_mode = level == DegradationLevel::kSafeMode;
   if (telemetry_) telemetry_->flight().begin_cycle();
 
   CycleBreakdown c;
-  if (applied_level_ == DegradationLevel::kSafeMode) {
-    // Keep decoding the control signals (so recovery resumes in sync)
-    // but skip GP/Graph/VC; the supervisor feeds the sound card.
-    phase_tp(c);
-    supervisor_->supervise_safe_mode_cycle(c);
-    monitor_.add(c, level);
-    finish_cycle_telemetry(c, level);
-    profile_cycle(c);  // no graph spans in safe mode; keeps counts exact
-    slo_cycle(c, /*good=*/false);  // fallback packet: the graph is down
-    return c;
+  phase_tp(c);
+  if (!safe_mode) {
+    phase_gp(c);
+    {
+      // Graph: the task graph under the selected strategy (38%).
+      support::ScopedTimer t(c.graph_us);
+      core::Executor* exec = level >= DegradationLevel::kSequentialFallback
+                                 ? fallback_exec_.get()
+                                 : executor_.get();
+      if (sup != nullptr) sup->watchdog_arm();
+      exec->run_cycle();
+      if (sup != nullptr) sup->watchdog_disarm();
+    }
+    track_graph_time(c.graph_us);
+    poll_heal();
+    apply_pending_poison();
+    phase_vc(c);
   }
 
-  phase_tp(c);
-  phase_gp(c);
-  {
-    support::ScopedTimer t(c.graph_us);
-    core::Executor* exec =
-        applied_level_ >= DegradationLevel::kSequentialFallback
-            ? fallback_exec_.get()
-            : executor_.get();
-    supervisor_->watchdog_arm();
-    exec->run_cycle();
-    supervisor_->watchdog_disarm();
+  const auto lvl = static_cast<unsigned>(level);
+  const bool missed = monitor_.add(c, lvl);
+  CycleOutcome outcome = CycleOutcome::kClean;
+  if (safe_mode) {
+    sup->supervise_safe_mode_cycle(c);
+    outcome = CycleOutcome::kSafeMode;
+  } else if (sup != nullptr) {
+    outcome = sup->supervise_cycle(c, missed, graph_nodes_.output());
   }
-  track_graph_time(c.graph_us);
-  poll_heal();
-  apply_pending_poison();
-  phase_vc(c);
-  const CycleOutcome outcome =
-      supervisor_->supervise_cycle(c, graph_nodes_.output());
-  monitor_.add(c, level);
-  finish_cycle_telemetry(c, level);
-  profile_cycle(c);
-  // Availability: a clean or merely-late cycle emitted real audio; a
-  // faulted / cancelled / NaN cycle shipped a repaired packet — down.
-  slo_cycle(c, outcome == CycleOutcome::kClean ||
-                   outcome == CycleOutcome::kOverrun);
+  finish_cycle_telemetry(c, missed, lvl);
+  profile_cycle(missed);  // safe mode has no graph spans; counts stay exact
+  slo_cycle(c, missed, emitted_real_audio(outcome));
   return c;
 }
 

@@ -136,6 +136,7 @@ void CycleSupervisor::watchdog_main() {
 }
 
 CycleOutcome CycleSupervisor::supervise_cycle(const CycleBreakdown& c,
+                                              bool missed,
                                               const audio::AudioBuffer& out) {
   ++stats_.cycles;
 
@@ -151,14 +152,14 @@ CycleOutcome CycleSupervisor::supervise_cycle(const CycleBreakdown& c,
   } else if (!all_finite(out)) {
     outcome = CycleOutcome::kNanOutput;
     ++stats_.nan_patches;
-  } else if (c.total_us() > cfg_.deadline_us) {
+  } else if (missed) {
     outcome = CycleOutcome::kOverrun;
     ++stats_.overruns;
   }
 
   // Output: overruns still produced valid audio; faults/cancels drained
   // mid-graph and NaN packets are unusable — repeat the last good one.
-  if (outcome == CycleOutcome::kClean || outcome == CycleOutcome::kOverrun) {
+  if (emitted_real_audio(outcome)) {
     emit_real(out);
   } else {
     emit_fallback();

@@ -74,7 +74,8 @@ void EngineTelemetry::on_threads_changed(unsigned threads) {
   flight_.configure(threads, cfg_.flight_spans_per_thread);
 }
 
-void EngineTelemetry::on_cycle(const CycleBreakdown& c, unsigned level,
+void EngineTelemetry::on_cycle(const CycleBreakdown& c, bool missed,
+                               unsigned level,
                                const SupervisorStats* sup,
                                std::uint64_t faults_injected,
                                const support::TraceRecorder* trace) {
@@ -86,9 +87,6 @@ void EngineTelemetry::on_cycle(const CycleBreakdown& c, unsigned level,
   graph_us_.record(c.graph_us);
   level_gauge_.set(static_cast<double>(level));
 
-  // Same predicate as DeadlineMonitor::add — the exports must agree with
-  // monitor().misses() exactly.
-  const bool missed = total > deadline_us_;
   if (missed) {
     misses_.inc();
     journal_.push(support::EventKind::kDeadlineMiss, cycle_count_,

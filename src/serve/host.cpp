@@ -3,33 +3,17 @@
 #include "djstar/core/thread_count.hpp"
 #include "djstar/engine/telemetry.hpp"
 #include "djstar/support/build_info.hpp"
+#include "djstar/support/env.hpp"
 #include "djstar/support/time.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <optional>
-#include <stdexcept>
 #include <utility>
 
 namespace djstar::serve {
 namespace {
-
-// DJSTAR_METRICS parsing, hardened like DJSTAR_THREADS: unset returns
-// nullopt, set-but-empty after trimming throws.
-std::optional<std::string> metrics_env_path() {
-  const char* raw = std::getenv("DJSTAR_METRICS");
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument("DJSTAR_METRICS: empty path");
-  }
-  return s.substr(b, e - b + 1);
-}
 
 // Environment overrides resolved before the member-init list runs so the
 // shared team is constructed with the final heal config.
@@ -156,7 +140,7 @@ EngineHost::EngineHost(HostConfig cfg)
         "djstar_slo_alert_state", "Fleet alert state (0 ok, 1 warn, 2 page)");
     g_slo_budget_.set(1.0);
   }
-  if (auto path = metrics_env_path()) {
+  if (auto path = support::env_path("DJSTAR_METRICS")) {
     start_metrics_exporter(*path);
   }
 }
@@ -398,8 +382,8 @@ FleetTick EngineHost::run_fleet_cycle() {
   // deadline) — a packet due exactly at the window edge must not slip a
   // whole tick over a rounding ulp.
   constexpr double kDueEpsUs = 1e-6;
-  std::vector<Session*> due;
-  due.reserve(active_.size());
+  std::vector<Session*>& due = due_scratch_;  // keeps capacity across ticks
+  due.clear();
   for (const auto& s : active_) {
     if (s->next_due_us() <= tick_end + kDueEpsUs) due.push_back(s.get());
   }
@@ -422,21 +406,18 @@ FleetTick EngineHost::run_fleet_cycle() {
     m_cycles_.inc();
     h_stage_queue_[rank(s->qos())].record(wait_us);
     h_stage_execute_[rank(s->qos())].record(completion - wait_us);
-    const bool missed = completion > allowed_us;
+    // The session's slot verdict, so the fleet export equals the sum of
+    // session miss counts exactly.
+    const bool missed = s->last_missed();
+    const engine::CycleOutcome oc = s->last_outcome();
     if (missed) {
       ++t.misses;
-      // Same predicate as Session::run_cycle's counter, so the fleet
-      // export equals the sum of session miss counts exactly.
       m_misses_.inc();
       journal_.push(support::EventKind::kDeadlineMiss, tick_,
                     static_cast<std::int64_t>(s->id()), 0, completion);
     }
     if (tsdb_ != nullptr) {
-      // Availability bit: clean and merely-late cycles are up; faulted,
-      // cancelled, NaN-flushed, and safe-mode cycles burn the budget.
-      const engine::CycleOutcome oc = s->last_outcome();
-      const bool good = oc == engine::CycleOutcome::kClean ||
-                        oc == engine::CycleOutcome::kOverrun;
+      const bool good = engine::emitted_real_audio(oc);
       slo_fleet_->record_cycle(completion, missed, good);
       slo_qos_[rank(s->qos())]->record_cycle(completion, missed, good);
       if (auto sit = slo_sessions_.find(s->id());
@@ -445,10 +426,9 @@ FleetTick EngineHost::run_fleet_cycle() {
       }
     }
     if (auto bit = breakers_.find(s->id()); bit != breakers_.end()) {
-      // Failure predicate: a missed deadline or a structurally broken
-      // cycle (fault, cancellation, NaN output). Clean degraded cycles
-      // are fine — the ladder is handling those.
-      const engine::CycleOutcome oc = s->last_outcome();
+      // Failure predicate: a missed slot or a structurally broken cycle
+      // (fault, cancellation, NaN output). Clean degraded cycles and
+      // safe-mode cycles are fine — the ladder is handling those.
       const bool failed = missed || oc == engine::CycleOutcome::kFault ||
                           oc == engine::CycleOutcome::kCancelled ||
                           oc == engine::CycleOutcome::kNanOutput;

@@ -77,25 +77,33 @@ double Session::run_cycle(double wait_us, double allowed_us) {
   // is reused for it (the serve layer has no timecode phase).
   c.tp_us = wait_us;
 
-  if (level == DegradationLevel::kSafeMode) {
-    supervisor_.supervise_safe_mode_cycle(c);
-    last_outcome_ = engine::CycleOutcome::kSafeMode;
-  } else {
+  const bool safe_mode = level == DegradationLevel::kSafeMode;
+  if (!safe_mode) {
     const auto t0 = support::now();
     core::Executor* exec = level >= DegradationLevel::kSequentialFallback
                                ? static_cast<core::Executor*>(fallback_.get())
                                : static_cast<core::Executor*>(hosted_.get());
     exec->run_cycle();
     c.graph_us = support::since_us(t0);
-    last_outcome_ = supervisor_.supervise_cycle(
-        c, spec_.output != nullptr ? *spec_.output : silent_);
   }
-  monitor_.add(c, level_idx);
+  // The ladder's verdict: wait + graph against the session's own
+  // deadline, decided by the monitor and handed to the supervisor.
+  const bool overran = monitor_.add(c, level_idx);
+  if (safe_mode) {
+    supervisor_.supervise_safe_mode_cycle(c);
+    last_outcome_ = engine::CycleOutcome::kSafeMode;
+  } else {
+    last_outcome_ = supervisor_.supervise_cycle(
+        c, overran, spec_.output != nullptr ? *spec_.output : silent_);
+  }
 
+  // The slot verdict: completion against this tick's budget to the
+  // session's absolute deadline. Counters, the profiler and the host's
+  // exports, SLOs and breaker all read this one.
   const double completion = c.total_us();
   ++counters_.cycles;
-  const bool missed = completion > allowed_us;
-  if (missed) ++counters_.misses;
+  last_missed_ = completion > allowed_us;
+  if (last_missed_) ++counters_.misses;
   if (level != DegradationLevel::kFull) ++counters_.degraded_cycles;
   latency_.add(completion);
 
@@ -103,7 +111,7 @@ double Session::run_cycle(double wait_us, double allowed_us) {
     // Safe mode / sequential fallback record no spans into trace_; the
     // empty attribution still counts the cycle so exports stay exact.
     trace_.collect_into(prof_spans_);
-    profiler_->on_cycle(prof_spans_, missed, counters_.cycles);
+    profiler_->on_cycle(prof_spans_, last_missed_, counters_.cycles);
   }
   return completion;
 }

@@ -102,6 +102,62 @@ TEST(EngineTelemetry, CountsAgreeWithDeadlineMonitorExactly) {
             std::string::npos);
   const std::string json = engine.telemetry().json();
   EXPECT_NE(json.find("\"name\":\"djstar_cycles_total\""), std::string::npos);
+
+  // Supervised, with the profiler and the SLO engine on: every consumer
+  // of the cycle's miss verdict must count exactly the monitor's misses.
+  // Latency spikes on node 0 force a mix of missed and on-time cycles.
+  // The ladder is pinned at kFull (overrun_trip far above the run length,
+  // no SLO page), and the watchdog is off so no spike becomes a cancel.
+  // An integral deadline keeps the SLO engine's virtual clock exact, so
+  // the last cycle seals the last window.
+  de::EngineConfig sup_cfg = sequential_config();
+  sup_cfg.deadline_us = 3000.0;
+  de::AudioEngine sup_engine(sup_cfg);
+  de::SupervisorConfig scfg;
+  scfg.overrun_trip = 1000;
+  scfg.use_watchdog = false;
+  sup_engine.enable_supervision(scfg);
+  de::ProfilerConfig pcfg;
+  pcfg.mode = de::ProfMode::kAttrib;
+  sup_engine.enable_profiler(pcfg);
+  const double deadline_us = sup_cfg.deadline_us;
+  ds::SloConfig slo;
+  slo.enabled = true;
+  slo.tsdb.window_us = 10.0 * deadline_us;  // 10 cycles per window
+  slo.tsdb.retention = 64;
+  slo.windows.fast_short = 1;
+  slo.windows.fast_long = 2;
+  slo.windows.slow_short = 2;
+  slo.windows.slow_long = 4;
+  slo.spec.miss_ratio = 0.5;  // burn <= 2: never warns, never forces a step
+  sup_engine.enable_slo(slo);
+  chaos::FaultPlan spikes;
+  spikes.seed = 11;
+  spikes.latency_permille = 300;
+  spikes.latency_min_us = 2.0 * deadline_us;
+  spikes.latency_max_us = 2.0 * deadline_us;
+  spikes.targets = {0};
+  sup_engine.arm_faults(spikes);
+  constexpr std::size_t kCycles = 60;  // whole windows: all sealed
+  for (std::size_t i = 0; i < kCycles; ++i) sup_engine.run_cycle_supervised();
+
+  const std::uint64_t sup_misses = sup_engine.monitor().misses();
+  ASSERT_EQ(sup_engine.monitor().cycles(), kCycles);
+  EXPECT_GT(sup_misses, 0u);
+  EXPECT_EQ(sup_engine.supervisor().level(), de::DegradationLevel::kFull);
+  EXPECT_EQ(sup_engine.profiler().blame_reports(), sup_misses);
+  EXPECT_EQ(sup_engine.supervisor().stats().overruns, sup_misses);
+  ds::TimeSeriesStore::SeriesSnapshot series;
+  ASSERT_TRUE(sup_engine.slo_store()->snapshot("engine_misses", 0, series));
+  std::uint64_t slo_misses = 0;
+  for (const ds::TsWindow& w : series.windows) slo_misses += w.count;
+  EXPECT_EQ(slo_misses, sup_misses);
+  const ds::MetricsSnapshot sup_snap =
+      sup_engine.telemetry().registry().snapshot();
+  const ds::MetricValue* sup_metric =
+      find_metric(sup_snap, "djstar_deadline_misses_total");
+  ASSERT_NE(sup_metric, nullptr);
+  EXPECT_EQ(std::uint64_t(sup_metric->value), sup_misses);
 }
 
 TEST(EngineTelemetry, ForcedStallProducesMissFlightDumpAndJournal) {
