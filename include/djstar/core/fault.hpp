@@ -98,12 +98,14 @@ struct FaultPlan {
   ///   "seed=42,throw=5,latency=20,latency_us=100..600,stall=1,stall_us=4000"
   /// Keys: seed, latency, throw, nan, stall, stall_forever, abort (rates
   /// in permille), latency_us (single value or "lo..hi"), stall_us.
-  /// Unknown keys or malformed values yield nullopt. Rates are clamped
-  /// to 1000.
+  /// Items, keys and values are trimmed (support/env); empty items are
+  /// skipped. Unknown keys or malformed values yield nullopt. Rates are
+  /// clamped to 1000.
   static std::optional<FaultPlan> parse(std::string_view spec);
 
-  /// Parse the DJSTAR_FAULTS environment variable (nullopt when unset
-  /// or malformed — malformed specs are reported on stderr, not fatal).
+  /// Parse the DJSTAR_FAULTS environment variable (nullopt when unset,
+  /// blank or malformed — malformed specs are reported on stderr, not
+  /// fatal).
   static std::optional<FaultPlan> from_env(const char* var = "DJSTAR_FAULTS");
 };
 

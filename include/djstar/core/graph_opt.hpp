@@ -60,10 +60,9 @@ enum class Mode {
 std::string_view to_string(Mode m) noexcept;
 std::optional<Mode> parse_mode(std::string_view name) noexcept;
 
-/// Hardened DJSTAR_GRAPH_OPT parsing: unset returns nullopt, a value
-/// that is empty after trimming or not in {off, fuse, fuse+static}
-/// throws std::invalid_argument (a misspelled mode must not silently
-/// disable the optimizer).
+/// DJSTAR_GRAPH_OPT under the support/env grammar: unset returns
+/// nullopt; a blank value or unknown mode throws std::invalid_argument
+/// (a misspelled mode must not silently disable the optimizer).
 std::optional<Mode> mode_from_env();
 
 // ---- cost model -------------------------------------------------------------

@@ -52,8 +52,8 @@ const char* to_string(HealMode m) noexcept;
 /// strictness contract as core/thread_count.
 HealMode parse_heal_mode(std::string_view text);
 
-/// Resolve the heal mode: DJSTAR_HEAL (if set) overrides `fallback`.
-/// Unset returns `fallback`; empty or garbage values throw.
+/// Resolve the heal mode: DJSTAR_HEAL (if set, trimmed) overrides
+/// `fallback`. Unset returns `fallback`; blank or garbage values throw.
 HealMode heal_mode_from_env(HealMode fallback = HealMode::kOff,
                             const char* env_var = "DJSTAR_HEAL");
 

@@ -3,7 +3,7 @@
 //
 // Every layer that sizes a worker pool (AudioEngine, serve::EngineHost,
 // benches) resolves its thread count through here instead of trusting a
-// raw integer or getenv() string. The rules:
+// raw integer or environment string (support/env grammar). The rules:
 //
 //   - DJSTAR_THREADS, when set, overrides the configured count (it is an
 //     explicit runtime request).

@@ -70,6 +70,14 @@ struct EngineConfig {
   support::SloConfig slo{};
 };
 
+/// The environment overrides an engine and a serving host share:
+/// DJSTAR_HEAL sets `heal`, DJSTAR_PROF sets `profiler`, and DJSTAR_SLO
+/// sets `slo.enabled` and `slo.spec` only — the embedder's window
+/// geometry and tsdb sizing stay authoritative. Unset variables leave
+/// their field alone; malformed values throw std::invalid_argument.
+void apply_shared_env_overrides(core::HealMode& heal, ProfMode& profiler,
+                                support::SloConfig& slo);
+
 /// DJ Star's audio engine. Single-threaded control interface: construct,
 /// tweak parameters, call run_cycle() per audio packet.
 class AudioEngine {

@@ -1,8 +1,7 @@
 // djstar/net/config.hpp
-// Hardened DJSTAR_NET configuration, in the DJSTAR_THREADS /
-// DJSTAR_HEAL / DJSTAR_BREAKER style: an explicitly-set but malformed
-// value throws std::invalid_argument naming the offending text — never
-// a silent default.
+// DJSTAR_NET configuration under the support/env grammar: an
+// explicitly-set but malformed value throws std::invalid_argument
+// quoting it — never a silent default.
 //
 //   DJSTAR_NET=<port>[,max_conns[,send_ring_kb]]
 //

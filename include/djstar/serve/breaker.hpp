@@ -45,10 +45,10 @@ struct BreakerConfig {
 
   bool enabled() const noexcept { return trip_failures > 0; }
 
-  /// Parse "K,backoff_ms" (e.g. "4,50"). Hardened like
-  /// core/thread_count: whitespace is trimmed, anything else —
-  /// empty string, missing comma, garbage numbers, negative backoff —
-  /// throws std::invalid_argument. K == 0 is valid (explicitly off).
+  /// Parse "K,backoff_ms" (e.g. "4,50") under the support/env grammar:
+  /// blank, a missing comma, garbage or signed numbers, and a zero
+  /// backoff with K > 0 throw std::invalid_argument; values above 1e9
+  /// clamp. K == 0 is valid (explicitly off).
   static BreakerConfig parse(std::string_view text);
 
   /// DJSTAR_BREAKER override: unset returns nullopt, set goes through

@@ -86,11 +86,11 @@ struct SloConfig {
   /// ("" = count the incident, skip the file).
   std::string incident_dump_path;
 
-  /// Parse DJSTAR_SLO=off|on[,<miss_ratio>[,<p99_us>]]. Unset returns
-  /// nullopt; set-but-empty, unknown modes, malformed or out-of-range
-  /// numbers, and trailing fields all throw std::invalid_argument (the
-  /// DJSTAR_PROF/DJSTAR_NET contract: a typo'd production env must fail
-  /// loudly, not silently run unobserved).
+  /// Parse DJSTAR_SLO=off|on[,<miss_ratio>[,<p99_us>]] under the
+  /// support/env grammar. Unset returns nullopt; blank, unknown modes,
+  /// malformed or out-of-range numbers, and trailing fields throw
+  /// std::invalid_argument (a typo'd production env must fail loudly,
+  /// not silently run unobserved).
   static std::optional<SloConfig> from_env();
 };
 

@@ -148,7 +148,6 @@ class TimeSeriesStore {
 
   TsdbConfig cfg_;
   double now_us_ = 0;
-  double window_start_us_ = 0;
   std::uint64_t sealed_ = 0;
   mutable std::mutex mutex_;  ///< guards ring storage + series list
   std::vector<std::unique_ptr<detail::TsSeries>> series_;

@@ -5,6 +5,7 @@
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/detail/heal_run.hpp"
 #include "djstar/core/detail/spin.hpp"
+#include "djstar/core/detail/span_sink.hpp"
 #include "djstar/core/detail/unit_run.hpp"
 
 namespace djstar::core {
@@ -29,16 +30,8 @@ void BusyWaitExecutor::run_cycle() {
 void BusyWaitExecutor::worker_body(unsigned w) {
   const auto order = graph_.unit_order();
   const unsigned T = opts_.threads;
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(w, s);
-    if (flight) flight->record(w, s);
-  };
+  const detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
 
   if (use_plan_) {
     detail::replay_static(graph_, *opts_.static_plan, w, stats_, opts_.spin,
@@ -93,16 +86,8 @@ void BusyWaitExecutor::worker_body(unsigned w) {
 // a help phase that keeps every survivor working until the whole graph
 // is done (DESIGN.md §12).
 void BusyWaitExecutor::heal_body(unsigned w) {
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(w, s);
-    if (flight) flight->record(w, s);
-  };
+  const detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
   HealthBoard& hb = team_->health();
 
   const auto wait_ready = [&](UnitId u) {

@@ -1,9 +1,9 @@
 #include "djstar/core/fault.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "djstar/support/env.hpp"
 #include "djstar/support/rng.hpp"
 
 namespace djstar::core::chaos {
@@ -13,30 +13,15 @@ namespace {
 constexpr std::uint64_t kCycleMix = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kNodeMix = 0xbf58476d1ce4e5b9ULL;
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  const auto* end = s.data() + s.size();
-  const auto r = std::from_chars(s.data(), end, out);
-  return r.ec == std::errc{} && r.ptr == end;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  // from_chars<double> is still patchy across libstdc++ versions in the
-  // field; strtod on a bounded copy is portable and just as strict here.
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) return false;
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + s.size();
-}
-
-bool parse_rate(std::string_view s, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v)) return false;
-  out = static_cast<std::uint32_t>(v > 1000 ? 1000 : v);
-  return true;
-}
+constexpr support::env::Grammar kFaults{"DJSTAR_FAULTS value",
+                                       "key=value[,key=value...]"};
+constexpr support::env::Name<std::uint32_t FaultPlan::*> kRates[] = {
+    {"latency", &FaultPlan::latency_permille},
+    {"throw", &FaultPlan::throw_permille},
+    {"nan", &FaultPlan::nan_permille},
+    {"stall", &FaultPlan::stall_permille},
+    {"stall_forever", &FaultPlan::stall_forever_permille},
+    {"abort", &FaultPlan::abort_permille}};
 
 }  // namespace
 
@@ -55,64 +40,47 @@ const char* to_string(FaultKind k) noexcept {
 
 std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
   FaultPlan plan;
-  while (!spec.empty()) {
-    const auto comma = spec.find(',');
-    std::string_view item = spec.substr(0, comma);
-    spec = comma == std::string_view::npos ? std::string_view{}
-                                           : spec.substr(comma + 1);
-    if (item.empty()) continue;
-
-    const auto eq = item.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view val = item.substr(eq + 1);
-
-    if (key == "seed") {
-      if (!parse_u64(val, plan.seed)) return std::nullopt;
-    } else if (key == "latency") {
-      if (!parse_rate(val, plan.latency_permille)) return std::nullopt;
-    } else if (key == "throw") {
-      if (!parse_rate(val, plan.throw_permille)) return std::nullopt;
-    } else if (key == "nan") {
-      if (!parse_rate(val, plan.nan_permille)) return std::nullopt;
-    } else if (key == "stall") {
-      if (!parse_rate(val, plan.stall_permille)) return std::nullopt;
-    } else if (key == "stall_forever") {
-      if (!parse_rate(val, plan.stall_forever_permille)) return std::nullopt;
-    } else if (key == "abort") {
-      if (!parse_rate(val, plan.abort_permille)) return std::nullopt;
-    } else if (key == "latency_us") {
-      const auto dots = val.find("..");
-      if (dots == std::string_view::npos) {
-        double v = 0;
-        if (!parse_double(val, v) || v < 0) return std::nullopt;
-        plan.latency_min_us = plan.latency_max_us = v;
-      } else {
-        double lo = 0, hi = 0;
-        if (!parse_double(val.substr(0, dots), lo) ||
-            !parse_double(val.substr(dots + 2), hi) || lo < 0 || hi < lo) {
-          return std::nullopt;
-        }
+  if (support::env::trim(spec).empty()) return plan;
+  const support::env::Value v(kFaults, spec);
+  try {
+    for (std::string_view item : support::env::split(v.trimmed(), ',')) {
+      if (item.empty()) continue;
+      const auto kv = support::env::split(item, '=');
+      if (kv.size() != 2) return std::nullopt;
+      const std::string_view key = kv[0], val = kv[1];
+      if (const auto rate = support::env::lookup(kRates, key)) {
+        plan.*(*rate) = static_cast<std::uint32_t>(v.uint_clamped(val, 1000));
+      } else if (key == "seed") {
+        plan.seed = v.uint(val, key, 0, ~std::uint64_t{0});
+      } else if (key == "latency_us") {
+        const auto dots = val.find("..");
+        const double lo = v.number(val.substr(0, dots), key);
+        const double hi = dots == std::string_view::npos
+                              ? lo
+                              : v.number(val.substr(dots + 2), key);
+        if (lo < 0 || hi < lo) return std::nullopt;
         plan.latency_min_us = lo;
         plan.latency_max_us = hi;
+      } else if (key == "stall_us") {
+        plan.stall_us = v.number(val, key);
+        if (plan.stall_us < 0) return std::nullopt;
+      } else {
+        return std::nullopt;
       }
-    } else if (key == "stall_us") {
-      double v = 0;
-      if (!parse_double(val, v) || v < 0) return std::nullopt;
-      plan.stall_us = v;
-    } else {
-      return std::nullopt;
     }
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
   }
   return plan;
 }
 
 std::optional<FaultPlan> FaultPlan::from_env(const char* var) {
-  const char* raw = std::getenv(var);
-  if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-  auto plan = parse(raw);
+  const auto raw = support::env::raw(var);
+  if (!raw || support::env::trim(*raw).empty()) return std::nullopt;
+  auto plan = parse(*raw);
   if (!plan) {
-    std::fprintf(stderr, "djstar: ignoring malformed %s=\"%s\"\n", var, raw);
+    std::fprintf(stderr, "djstar: ignoring malformed %s=\"%s\"\n", var,
+                 raw->c_str());
   }
   return plan;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <queue>
 #include <stdexcept>
@@ -10,8 +9,20 @@
 
 #include "djstar/core/compiled_graph.hpp"
 #include "djstar/support/assert.hpp"
+#include "djstar/support/env.hpp"
 
 namespace djstar::core::graph_opt {
+namespace {
+
+constexpr support::env::Grammar kGraphOpt{"DJSTAR_GRAPH_OPT value",
+                                          "off, fuse, or fuse+static"};
+constexpr support::env::Name<Mode> kModes[] = {
+    {"off", Mode::kOff},
+    {"fuse", Mode::kFuse},
+    {"fuse+static", Mode::kFuseStatic},
+    {"fuse-static", Mode::kFuseStatic}};
+
+}  // namespace
 
 std::string_view to_string(Mode m) noexcept {
   switch (m) {
@@ -23,28 +34,13 @@ std::string_view to_string(Mode m) noexcept {
 }
 
 std::optional<Mode> parse_mode(std::string_view name) noexcept {
-  if (name == "off") return Mode::kOff;
-  if (name == "fuse") return Mode::kFuse;
-  if (name == "fuse+static" || name == "fuse-static") return Mode::kFuseStatic;
-  return std::nullopt;
+  return support::env::lookup(kModes, name);
 }
 
 std::optional<Mode> mode_from_env() {
-  const char* raw = std::getenv("DJSTAR_GRAPH_OPT");
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument("DJSTAR_GRAPH_OPT: empty value");
-  }
-  const auto mode = parse_mode(std::string_view(s).substr(b, e - b + 1));
-  if (!mode) {
-    throw std::invalid_argument(
-        "DJSTAR_GRAPH_OPT: expected off, fuse, or fuse+static, got '" + s +
-        "'");
-  }
-  return mode;
+  const auto v = support::env::Value::read(kGraphOpt, "DJSTAR_GRAPH_OPT");
+  if (!v) return std::nullopt;
+  return v->choice(v->trimmed(), kModes);
 }
 
 // ---- CostModel --------------------------------------------------------------

@@ -1,10 +1,9 @@
 #include "djstar/core/health.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <thread>
+
+#include "djstar/support/env.hpp"
 
 namespace djstar::core {
 namespace {
@@ -17,6 +16,12 @@ struct Binding {
 };
 
 thread_local Binding tl_binding;
+
+constexpr support::env::Grammar kHeal{"heal mode", "off|quarantine|respawn"};
+constexpr support::env::Name<HealMode> kHealModes[] = {
+    {"off", HealMode::kOff},
+    {"quarantine", HealMode::kQuarantine},
+    {"respawn", HealMode::kRespawn}};
 
 }  // namespace
 
@@ -40,19 +45,13 @@ const char* to_string(WorkerState s) noexcept {
 }
 
 HealMode parse_heal_mode(std::string_view text) {
-  if (text == "off") return HealMode::kOff;
-  if (text == "quarantine") return HealMode::kQuarantine;
-  if (text == "respawn") return HealMode::kRespawn;
-  throw std::invalid_argument("invalid heal mode \"" + std::string(text) +
-                              "\" (expected off|quarantine|respawn)");
+  if (const auto m = support::env::lookup(kHealModes, text)) return *m;
+  support::env::fail(kHeal, text, "unknown mode");
 }
 
 HealMode heal_mode_from_env(HealMode fallback, const char* env_var) {
-  const char* raw = std::getenv(env_var);
-  if (raw == nullptr) return fallback;
-  // Empty is an explicit-but-meaningless request: throw, like
-  // DJSTAR_THREADS= does, instead of silently picking a default.
-  return parse_heal_mode(raw);
+  const auto v = support::env::Value::read(kHeal, env_var);
+  return v ? parse_heal_mode(v->trimmed()) : fallback;
 }
 
 void HealthBoard::configure(unsigned width) {

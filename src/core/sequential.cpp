@@ -1,5 +1,6 @@
 #include "djstar/core/sequential.hpp"
 
+#include "djstar/core/detail/span_sink.hpp"
 #include "djstar/core/detail/unit_run.hpp"
 
 namespace djstar::core {
@@ -13,16 +14,8 @@ void SequentialExecutor::run_cycle() {
   // previous cycle's fault/cancel state — required for the sequential
   // fallback to recover after a faulted cycle.
   graph_.begin_cycle();
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(0, s);
-    if (flight) flight->record(0, s);
-  };
+  const detail::SpanSink emit(opts_, 0);
+  const bool tracing = emit.tracing();
   const auto t0 = support::now();
   for (UnitId u : graph_.unit_order()) {
     detail::run_unit(graph_, u, 0, stats_, tracing, t0, emit);

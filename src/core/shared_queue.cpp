@@ -4,6 +4,7 @@
 
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/detail/heal_run.hpp"
+#include "djstar/core/detail/span_sink.hpp"
 #include "djstar/core/detail/unit_run.hpp"
 
 namespace djstar::core {
@@ -41,16 +42,8 @@ void SharedQueueExecutor::run_cycle() {
 
 void SharedQueueExecutor::worker_body(unsigned w) {
   const std::size_t total = graph_.unit_count();
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(w, s);
-    if (flight) flight->record(w, s);
-  };
+  const detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
 
   if (use_plan_) {
     detail::replay_static(graph_, *opts_.static_plan, w, stats_, opts_.spin,
@@ -125,16 +118,8 @@ void SharedQueueExecutor::worker_body(unsigned w) {
 // unit_count() despite republished duplicates.
 void SharedQueueExecutor::heal_body(unsigned w) {
   const std::size_t total = graph_.unit_count();
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(w, s);
-    if (flight) flight->record(w, s);
-  };
+  const detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
   HealthBoard& hb = team_->health();
 
   for (;;) {

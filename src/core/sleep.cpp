@@ -5,6 +5,7 @@
 
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/detail/heal_run.hpp"
+#include "djstar/core/detail/span_sink.hpp"
 #include "djstar/core/detail/unit_run.hpp"
 
 namespace djstar::core {
@@ -42,16 +43,8 @@ void SleepExecutor::run_cycle() {
 void SleepExecutor::worker_body(unsigned w) {
   const auto order = graph_.unit_order();
   const unsigned T = opts_.threads;
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(w, s);
-    if (flight) flight->record(w, s);
-  };
+  const detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
   const auto wid = static_cast<std::int32_t>(w);
 
   if (use_plan_) {
@@ -131,16 +124,8 @@ void SleepExecutor::worker_body(unsigned w) {
 // (DESIGN.md §12). The rescue hook's notify_all shortens the bounded
 // park when a quarantine happens mid-wait.
 void SleepExecutor::heal_body(unsigned w) {
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  const auto emit = [&](const support::TraceSpan& s) {
-    if (trace) trace->record(w, s);
-    if (flight) flight->record(w, s);
-  };
+  const detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
   HealthBoard& hb = team_->health();
   const auto wid = static_cast<std::int32_t>(w);
 

@@ -5,6 +5,7 @@
 #include "djstar/core/chaos.hpp"
 #include "djstar/core/detail/heal_run.hpp"
 #include "djstar/core/detail/spin.hpp"
+#include "djstar/core/detail/span_sink.hpp"
 #include "djstar/core/detail/unit_run.hpp"
 #include "djstar/support/assert.hpp"
 
@@ -146,25 +147,8 @@ bool WorkStealingExecutor::try_get_unit(unsigned w, UnitId& out,
 
 void WorkStealingExecutor::worker_body(unsigned w) {
   const std::size_t total = graph_.unit_count();
-  support::TraceRecorder* const trace =
-      opts_.trace != nullptr && opts_.trace->armed() ? opts_.trace : nullptr;
-  support::FlightRecorder* const flight =
-      opts_.flight != nullptr && opts_.flight->enabled() ? opts_.flight
-                                                         : nullptr;
-  const bool tracing = trace != nullptr || flight != nullptr;
-  // Steal-origin stamping: the victim of the steal that delivered the
-  // unit currently running; kRun/kFused spans emitted for it carry the
-  // id so the attribution layer can tell migrated work from local work.
-  std::int32_t steal_origin = -1;
-  const auto emit = [&](const support::TraceSpan& s) {
-    support::TraceSpan e = s;
-    if (steal_origin >= 0 && (e.kind == support::SpanKind::kRun ||
-                              e.kind == support::SpanKind::kFused)) {
-      e.steal_from = steal_origin;
-    }
-    if (trace) trace->record(w, e);
-    if (flight) flight->record(w, e);
-  };
+  detail::SpanSink emit(opts_, w);
+  const bool tracing = emit.tracing();
 
   if (use_plan_) {
     detail::replay_static(graph_, *opts_.static_plan, w, stats_, opts_.spin,
@@ -189,7 +173,7 @@ void WorkStealingExecutor::worker_body(unsigned w) {
     double probe_begin = 0.0;
     if (tracing) probe_begin = support::elapsed_us(cycle_start_, support::now());
 
-    if (!try_get_unit(w, u, steal_origin)) {
+    if (!try_get_unit(w, u, emit.steal_origin)) {
       ++failed_rounds;
       if (failed_rounds < ws_.steal_rounds_before_park) {
         detail::cpu_pause();

@@ -33,6 +33,16 @@ std::array<const audio::AudioBuffer*, 4> deck_inputs(
 
 }  // namespace
 
+void apply_shared_env_overrides(core::HealMode& heal, ProfMode& profiler,
+                                support::SloConfig& slo) {
+  heal = core::heal_mode_from_env(heal);
+  if (const auto mode = prof_mode_from_env()) profiler = *mode;
+  if (const auto env = support::SloConfig::from_env()) {
+    slo.enabled = env->enabled;
+    slo.spec = env->spec;
+  }
+}
+
 AudioEngine::AudioEngine(EngineConfig cfg)
     : cfg_(cfg),
       decks_(make_decks(cfg)),
@@ -42,16 +52,8 @@ AudioEngine::AudioEngine(EngineConfig cfg)
   cfg_.threads = core::resolve_thread_count(cfg_.threads);
   // Hardened: DJSTAR_GRAPH_OPT overrides, garbage throws.
   if (auto mode = core::graph_opt::mode_from_env()) cfg_.graph_opt = *mode;
-  // Hardened: DJSTAR_HEAL overrides, garbage throws.
-  cfg_.heal.mode = core::heal_mode_from_env(cfg_.heal.mode);
-  // Hardened: DJSTAR_PROF overrides, garbage throws.
-  if (auto pmode = prof_mode_from_env()) cfg_.profiler.mode = *pmode;
-  // Hardened: DJSTAR_SLO overrides enabled/spec, garbage throws. Window
-  // geometry and retention stay whatever the embedder configured.
-  if (auto slo = support::SloConfig::from_env()) {
-    cfg_.slo.enabled = slo->enabled;
-    cfg_.slo.spec = slo->spec;
-  }
+  // Hardened: DJSTAR_HEAL, DJSTAR_PROF and DJSTAR_SLO override.
+  apply_shared_env_overrides(cfg_.heal.mode, cfg_.profiler.mode, cfg_.slo);
 
   // Cost model: seeded offline from the graph's reference durations,
   // refined online via observe_spans()/observe() (DESIGN.md §11).

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
 #if defined(__linux__)
 #include <sys/syscall.h>
@@ -15,8 +13,17 @@
 #endif
 #endif
 
+#include "djstar/support/env.hpp"
+
 namespace djstar::engine {
 namespace {
+
+constexpr support::env::Grammar kProf{"DJSTAR_PROF value",
+                                      "off, attrib, or attrib+hw"};
+constexpr support::env::Name<ProfMode> kProfModes[] = {
+    {"off", ProfMode::kOff},
+    {"attrib", ProfMode::kAttrib},
+    {"attrib+hw", ProfMode::kAttribHw}};
 
 constexpr double kCpBounds[] = {50,   100,  200,  400,  800,
                                 1200, 1600, 2400, 3200, 6400};
@@ -69,27 +76,13 @@ std::string_view to_string(ProfMode m) noexcept {
 }
 
 std::optional<ProfMode> parse_prof_mode(std::string_view name) noexcept {
-  if (name == "off") return ProfMode::kOff;
-  if (name == "attrib") return ProfMode::kAttrib;
-  if (name == "attrib+hw") return ProfMode::kAttribHw;
-  return std::nullopt;
+  return support::env::lookup(kProfModes, name);
 }
 
 std::optional<ProfMode> prof_mode_from_env() {
-  const char* raw = std::getenv("DJSTAR_PROF");
-  if (raw == nullptr) return std::nullopt;
-  std::string s(raw);
-  const auto b = s.find_first_not_of(" \t");
-  const auto e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) {
-    throw std::invalid_argument("DJSTAR_PROF: empty value");
-  }
-  const auto mode = parse_prof_mode(std::string_view(s).substr(b, e - b + 1));
-  if (!mode) {
-    throw std::invalid_argument(
-        "DJSTAR_PROF: expected off, attrib, or attrib+hw, got '" + s + "'");
-  }
-  return mode;
+  const auto v = support::env::Value::read(kProf, "DJSTAR_PROF");
+  if (!v) return std::nullopt;
+  return v->choice(v->trimmed(), kProfModes);
 }
 
 // ---- HwSampler ----

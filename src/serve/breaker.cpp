@@ -1,42 +1,16 @@
 #include "djstar/serve/breaker.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+
+#include "djstar/support/env.hpp"
 
 namespace djstar::serve {
 namespace {
 
-[[noreturn]] void bad_value(std::string_view text, const char* why) {
-  throw std::invalid_argument(
-      "invalid breaker config '" + std::string(text) + "': " + why +
-      " (expected K,backoff_ms — e.g. \"4,50\"; K = 0 disables)");
-}
-
-std::string_view trim(std::string_view t) {
-  std::size_t b = 0, e = t.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(t[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(t[e - 1]))) --e;
-  return t.substr(b, e - b);
-}
-
-unsigned long long parse_uint(std::string_view full, std::string_view t,
-                              const char* field) {
-  if (t.empty()) bad_value(full, field);
-  if (t[0] == '-') bad_value(full, "negative");
-  if (t[0] == '+') bad_value(full, "sign prefix not accepted");
-  unsigned long long v = 0;
-  for (char c : t) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      bad_value(full, "not a number");
-    }
-    v = v * 10 + static_cast<unsigned long long>(c - '0');
-    if (v > 1'000'000'000ULL) break;  // far past any sane value; clamps
-  }
-  return std::min(v, 1'000'000'000ULL);
-}
+constexpr support::env::Grammar kBreaker{
+    "breaker config", "K,backoff_ms — e.g. \"4,50\"; K = 0 disables"};
+// Far past any sane count or backoff; larger values clamp to it.
+constexpr std::uint64_t kBreakerClamp = 1'000'000'000;
 
 // SplitMix64: tiny, stateless, and good enough to decorrelate probe
 // times; seeded per (host seed, session id, trip count) so replays are
@@ -51,28 +25,23 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
 }  // namespace
 
 BreakerConfig BreakerConfig::parse(std::string_view text) {
-  const std::string_view t = trim(text);
-  if (t.empty()) bad_value(text, "empty");
-  const std::size_t comma = t.find(',');
-  if (comma == std::string_view::npos) bad_value(text, "missing comma");
-  if (t.find(',', comma + 1) != std::string_view::npos) {
-    bad_value(text, "too many fields");
-  }
+  const support::env::Value v(kBreaker, text);
+  const auto f = v.fields(2);
+  if (f.size() < 2) v.fail("missing comma");
   BreakerConfig cfg;
-  cfg.trip_failures = static_cast<unsigned>(
-      parse_uint(text, trim(t.substr(0, comma)), "empty failure count"));
-  const unsigned long long ms =
-      parse_uint(text, trim(t.substr(comma + 1)), "empty backoff");
-  if (cfg.trip_failures > 0 && ms == 0) bad_value(text, "zero backoff");
+  cfg.trip_failures =
+      static_cast<unsigned>(v.uint_clamped(f[0], kBreakerClamp));
+  const std::uint64_t ms = v.uint_clamped(f[1], kBreakerClamp);
+  if (cfg.trip_failures > 0 && ms == 0) v.fail("zero backoff");
   cfg.backoff_ms = static_cast<double>(ms);
   cfg.max_backoff_ms = std::max(cfg.max_backoff_ms, cfg.backoff_ms);
   return cfg;
 }
 
 std::optional<BreakerConfig> BreakerConfig::from_env(const char* var) {
-  const char* env = std::getenv(var);
-  if (env == nullptr) return std::nullopt;
-  return parse(env);
+  const auto raw = support::env::raw(var);
+  if (!raw) return std::nullopt;
+  return parse(*raw);
 }
 
 const char* to_string(BreakerState s) noexcept {

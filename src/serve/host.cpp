@@ -1,6 +1,7 @@
 #include "djstar/serve/host.hpp"
 
 #include "djstar/core/thread_count.hpp"
+#include "djstar/engine/engine.hpp"
 #include "djstar/engine/telemetry.hpp"
 #include "djstar/support/build_info.hpp"
 #include "djstar/support/env.hpp"
@@ -18,15 +19,9 @@ namespace {
 // Environment overrides resolved before the member-init list runs so the
 // shared team is constructed with the final heal config.
 HostConfig apply_env_overrides(HostConfig cfg) {
-  cfg.heal.mode = core::heal_mode_from_env(cfg.heal.mode);
+  engine::apply_shared_env_overrides(cfg.heal.mode, cfg.profiler.mode,
+                                     cfg.slo);
   if (auto b = BreakerConfig::from_env()) cfg.breaker = *b;
-  if (auto pmode = engine::prof_mode_from_env()) cfg.profiler.mode = *pmode;
-  if (auto slo = support::SloConfig::from_env()) {
-    // The env hook flips the engine and (optionally) the objectives; the
-    // embedder's window geometry / tsdb sizing stays authoritative.
-    cfg.slo.enabled = slo->enabled;
-    cfg.slo.spec = slo->spec;
-  }
   return cfg;
 }
 

@@ -2,39 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "djstar/support/env.hpp"
 
 namespace djstar::support {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  const auto b = s.find_first_not_of(" \t");
-  if (b == std::string_view::npos) return {};
-  const auto e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
-}
-
-/// Strict positive-double parse: the whole field must be consumed and
-/// the value must land in (0, `max`]. Throws otherwise.
-double parse_positive(std::string_view field, const char* what,
-                      double max_value) {
-  const std::string tmp(field);  // strtod needs NUL termination
-  char* end = nullptr;
-  const double v = std::strtod(tmp.c_str(), &end);
-  if (end == tmp.c_str() || *end != '\0') {
-    throw std::invalid_argument(std::string("DJSTAR_SLO: malformed ") +
-                                what + " '" + tmp + "'");
-  }
-  if (!(v > 0) || v > max_value) {
-    throw std::invalid_argument(std::string("DJSTAR_SLO: ") + what +
-                                " out of range (0, " +
-                                std::to_string(max_value) + "]: '" + tmp +
-                                "'");
-  }
-  return v;
-}
+constexpr env::Grammar kSlo{"DJSTAR_SLO value",
+                            "off or on[,<miss_ratio>[,<p99_us>]]"};
+constexpr env::Name<bool> kSloModes[] = {{"off", false}, {"on", true}};
 
 std::size_t windows_for(double seconds, double window_us) noexcept {
   const double w = seconds * 1e6 / window_us;
@@ -80,64 +58,18 @@ SloWindows SloWindows::sre_defaults(double window_us) noexcept {
 }
 
 std::optional<SloConfig> SloConfig::from_env() {
-  const char* raw = std::getenv("DJSTAR_SLO");
-  if (raw == nullptr) return std::nullopt;
-  const std::string_view value = trim(raw);
-  if (value.empty()) {
-    throw std::invalid_argument(
-        "DJSTAR_SLO: empty value (expected off or "
-        "on[,<miss_ratio>[,<p99_us>]])");
-  }
-
-  // Split on ',' into at most 3 trimmed fields; empty fields throw.
-  std::string_view fields[3];
-  std::size_t nfields = 0;
-  std::string_view rest = value;
-  while (true) {
-    const auto comma = rest.find(',');
-    const std::string_view field = trim(rest.substr(0, comma));
-    if (nfields == 3) {
-      throw std::invalid_argument(
-          "DJSTAR_SLO: too many fields (expected "
-          "off or on[,<miss_ratio>[,<p99_us>]])");
-    }
-    if (field.empty()) {
-      throw std::invalid_argument("DJSTAR_SLO: empty field in '" +
-                                  std::string(value) + "'");
-    }
-    fields[nfields++] = field;
-    if (comma == std::string_view::npos) break;
-    rest = rest.substr(comma + 1);
-  }
-
+  const auto v = env::Value::read(kSlo, "DJSTAR_SLO");
+  if (!v) return std::nullopt;
+  const auto f = v->fields(3);
   SloConfig cfg;
-  if (fields[0] == "off") {
-    if (nfields > 1) {
-      throw std::invalid_argument(
-          "DJSTAR_SLO: 'off' takes no further fields");
-    }
-    cfg.enabled = false;
-    return cfg;
-  }
-  if (fields[0] != "on") {
-    throw std::invalid_argument("DJSTAR_SLO: unknown mode '" +
-                                std::string(fields[0]) +
-                                "' (expected off or on)");
-  }
-  cfg.enabled = true;
-  if (nfields >= 2) {
+  cfg.enabled = v->choice(f[0], kSloModes);
+  if (!cfg.enabled && f.size() > 1) v->fail("'off' takes no further fields");
+  if (f.size() >= 2) {
     // A miss budget of 1.0 would never alert; require a real ratio.
-    const double r = parse_positive(fields[1], "miss_ratio", 1.0);
-    if (r >= 1.0) {
-      throw std::invalid_argument(
-          "DJSTAR_SLO: miss_ratio must be in (0, 1): '" +
-          std::string(fields[1]) + "'");
-    }
-    cfg.spec.miss_ratio = r;
+    cfg.spec.miss_ratio = v->positive(f[1], "miss_ratio", 1.0);
+    if (cfg.spec.miss_ratio >= 1.0) v->fail("miss_ratio must be in (0, 1)");
   }
-  if (nfields >= 3) {
-    cfg.spec.p99_us = parse_positive(fields[2], "p99_us", 1e9);
-  }
+  if (f.size() == 3) cfg.spec.p99_us = v->positive(f[2], "p99_us", 1e9);
   return cfg;
 }
 

@@ -175,10 +175,14 @@ void TimeSeriesStore::record(SeriesRef s, double v) noexcept {
 
 std::size_t TimeSeriesStore::advance(double now_us) {
   if (now_us > now_us_) now_us_ = now_us;
-  if (now_us_ - window_start_us_ < cfg_.window_us) return 0;
-  const auto pending = static_cast<std::uint64_t>(
-      (now_us_ - window_start_us_) / cfg_.window_us);
-  window_start_us_ += static_cast<double>(pending) * cfg_.window_us;
+  // Window k closes at k × window_us, counted from the origin so rounding
+  // never accumulates. The relative slack seals a boundary that `now`
+  // reaches only up to rounding (cycles × deadline against a window of
+  // 10 × deadline).
+  const auto reached = static_cast<std::uint64_t>(
+      now_us_ / cfg_.window_us * (1.0 + 1e-12));
+  if (reached <= sealed_) return 0;
+  const std::uint64_t pending = reached - sealed_;
   // Seal every window crossed, but cap the catch-up loop at one full
   // retention sweep: past that every retained window is the same empty
   // gap, so the remainder is skipped by bumping the indices instead

@@ -179,6 +179,38 @@ TEST(EngineSlo, MissPredicateAgreesWithTheDeadlineMonitor) {
   EXPECT_EQ(engine.monitor().misses(), 25u);
 }
 
+TEST(EngineSlo, WindowsSealOnEveryTenthCycleAtTheDefaultDeadline) {
+  // The virtual clock is cycles × 2902.49 µs and a window 10 × that: a
+  // boundary reached only up to rounding must still seal on its own
+  // cycle, or the next cycle's sample lands in the closing window.
+  de::EngineConfig cfg = sequential_config();
+  cfg.deadline_us = djstar::audio::kDeadlineUs;
+  de::AudioEngine engine(cfg);
+  engine.enable_slo(tiny_slo(cfg.deadline_us));
+  chaos::FaultPlan spikes;
+  spikes.seed = 11;
+  spikes.latency_permille = 300;
+  spikes.latency_min_us = 2.0 * cfg.deadline_us;
+  spikes.latency_max_us = 2.0 * cfg.deadline_us;
+  spikes.targets = {0};
+  engine.arm_faults(spikes);
+
+  ds::TimeSeriesStore* store = engine.slo_store();
+  ASSERT_NE(store, nullptr);
+  constexpr std::uint64_t kCycles = 100;
+  for (std::uint64_t c = 1; c <= kCycles; ++c) {
+    engine.run_cycle();
+    ASSERT_EQ(store->sealed_windows(), c / 10) << "after cycle " << c;
+  }
+
+  ds::TimeSeriesStore::SeriesSnapshot snap;
+  ASSERT_TRUE(store->snapshot("engine_misses", 0, snap));
+  std::uint64_t sealed_misses = 0;
+  for (const ds::TsWindow& w : snap.windows) sealed_misses += w.count;
+  EXPECT_GT(engine.monitor().misses(), 0u);
+  EXPECT_EQ(sealed_misses, engine.monitor().misses());
+}
+
 TEST(EngineSlo, EnvHookEnablesOverridesAndDisables) {
   EnvGuard guard("DJSTAR_SLO");
 
